@@ -1,11 +1,16 @@
 // kokkos_backend.hpp — TeaLeaf through minikokkos, following the structure of
 // Martineau's Kokkos port: fields are rank-1 Views in the execution space's
-// memory space, kernels are parallel_for/parallel_reduce over a 1D index
-// space with explicit 2D index arithmetic, and initial conditions are
-// painted on host mirrors then deep_copied in.
+// memory space, every kernel — reductions included — is a parallel_for or
+// parallel_reduce over a 2D MDRange of (j, i) with explicit padded-index
+// arithmetic, and initial conditions are painted on host mirrors then
+// deep_copied in.
 //
-//   kokkos-omp  : KokkosBackend<kk::Threads>  (host pool)
+//   kokkos-omp  : KokkosBackend<kk::Threads>  (the run's pool, see below)
 //   kokkos-cuda : KokkosBackend<kk::SimGPU>   (simulated GPU)
+//
+// The backend launches on the execution-space instance it is built with, so
+// kokkos-omp runs on the pool its caller passes (tlp::global_pool() for the
+// default instance), like Kokkos code handed an OpenMP instance.
 #pragma once
 
 #include <array>
@@ -27,7 +32,8 @@ class KokkosBackend final : public Backend {
   using HostView = kk::View1D<double, kk::HostSpace>;
 
 public:
-  explicit KokkosBackend(std::string id) : id_(std::move(id)) {}
+  explicit KokkosBackend(std::string id, Exec space = {})
+      : id_(std::move(id)), space_(space) {}
 
   std::string id() const override { return id_; }
 
@@ -74,7 +80,7 @@ public:
     const int ny = ny_;
     kk::parallel_for(
         "tea_coefficients",
-        kk::MDRangePolicy2<Exec>(0, ny + 1, 0, nx + 1),
+        kk::MDRangePolicy2<Exec>(space_, 0, ny + 1, 0, nx + 1),
         [=](long j, long i) {
           const double wc = ref::conduction(density(at(i, j)), kind);
           if (j < ny) {
@@ -166,13 +172,10 @@ public:
     auto va = view(a);
     auto vb = view(b);
     const auto at = index_fn();
-    const int nx = nx_;
     double result = 0.0;
     kk::parallel_reduce(
-        "tea_dot", kk::RangePolicy<Exec>(0, static_cast<long>(nx) * ny_),
-        [=](long idx, double& sum) {
-          const long i = idx % nx;
-          const long j = idx / nx;
+        "tea_dot", interior_policy(),
+        [=](long j, long i, double& sum) {
           sum += va(at(i, j)) * vb(at(i, j));
         },
         result);
@@ -242,13 +245,10 @@ public:
     auto ky = view(FieldId::kKy);
     const auto at = index_fn();
     const double rx = rx_, ry = ry_;
-    const int nx = nx_;
     double err = 0.0;
     kk::parallel_reduce(
-        "tea_jacobi", kk::RangePolicy<Exec>(0, static_cast<long>(nx) * ny_),
-        [=](long idx, double& e) {
-          const long i = idx % nx;
-          const long j = idx / nx;
+        "tea_jacobi", interior_policy(),
+        [=](long j, long i, double& e) {
           const double diag = 1.0 + rx * (kx(at(i + 1, j)) + kx(at(i, j))) +
                               ry * (ky(at(i, j + 1)) + ky(at(i, j)));
           const double off = rx * (kx(at(i + 1, j)) * uold(at(i + 1, j)) +
@@ -270,29 +270,25 @@ public:
     auto energy = view(FieldId::kEnergy0);
     auto u = view(FieldId::kU);
     const auto at = index_fn();
-    const int nx = nx_;
     const double vol_cell = cell_volume_;
-    const long n = static_cast<long>(nx) * ny_;
     FieldSummary s;
-    s.vol = vol_cell * static_cast<double>(n);
+    s.vol = vol_cell * static_cast<double>(static_cast<long>(nx_) * ny_);
     kk::parallel_reduce(
-        "tea_summary_mass", kk::RangePolicy<Exec>(0, n),
-        [=](long idx, double& acc) {
-          acc += density(at(idx % nx, idx / nx)) * vol_cell;
+        "tea_summary_mass", interior_policy(),
+        [=](long j, long i, double& acc) {
+          acc += density(at(i, j)) * vol_cell;
         },
         s.mass);
     kk::parallel_reduce(
-        "tea_summary_ie", kk::RangePolicy<Exec>(0, n),
-        [=](long idx, double& acc) {
-          const long i = idx % nx;
-          const long j = idx / nx;
+        "tea_summary_ie", interior_policy(),
+        [=](long j, long i, double& acc) {
           acc += density(at(i, j)) * energy(at(i, j)) * vol_cell;
         },
         s.ie);
     kk::parallel_reduce(
-        "tea_summary_temp", kk::RangePolicy<Exec>(0, n),
-        [=](long idx, double& acc) {
-          acc += u(at(idx % nx, idx / nx)) * vol_cell;
+        "tea_summary_temp", interior_policy(),
+        [=](long j, long i, double& acc) {
+          acc += u(at(i, j)) * vol_cell;
         },
         s.temp);
     charge(ref::kCostSummary);
@@ -305,14 +301,15 @@ public:
     const int ny = ny_;
     for (const FieldId fid : fields) {
       auto f = view(fid);
-      kk::parallel_for("tea_halo_x", kk::MDRangePolicy2<Exec>(0, ny, 0, depth),
+      kk::parallel_for("tea_halo_x",
+                       kk::MDRangePolicy2<Exec>(space_, 0, ny, 0, depth),
                        [=](long j, long k) {
                          f(at(-1 - k, j)) = f(at(k, j));
                          f(at(nx + k, j)) = f(at(nx - 1 - k, j));
                        });
       kk::parallel_for(
           "tea_halo_y",
-          kk::MDRangePolicy2<Exec>(0, depth, 0, nx + 2 * depth),
+          kk::MDRangePolicy2<Exec>(space_, 0, depth, 0, nx + 2 * depth),
           [=](long k, long ii) {
             const long i = ii - depth;
             f(at(i, -1 - k)) = f(at(i, k));
@@ -373,7 +370,7 @@ private:
   }
 
   kk::MDRangePolicy2<Exec> interior_policy() const {
-    return kk::MDRangePolicy2<Exec>(0, ny_, 0, nx_);
+    return kk::MDRangePolicy2<Exec>(space_, 0, ny_, 0, nx_);
   }
 
   void charge(const ref::KernelCost& c) const {
@@ -383,6 +380,7 @@ private:
   }
 
   std::string id_;
+  Exec space_;
   int nx_ = 0, ny_ = 0, halo_ = 2, pnx_ = 0, pny_ = 0;
   double cell_volume_ = 0.0;
   std::array<FieldView, kNumFields> fields_;

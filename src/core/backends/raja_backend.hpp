@@ -1,10 +1,18 @@
 // raja_backend.hpp — TeaLeaf through miniraja, following the RAJA port's
-// structure: kernels are forall<policy> lambdas over a flattened index space,
-// reductions are portable ReduceSum objects, and the same loop bodies serve
-// the OpenMP and CUDA policies.
+// structure: every kernel is a raja::kernel_2d lambda over (j, i) — rows of
+// the interior work-shared or tiled into thread blocks, columns contiguous —
+// reductions are portable ReduceSum objects captured by value, and the same
+// loop bodies serve the OpenMP and CUDA policies.
 //
 //   raja-omp  : RajaBackend<raja::omp_parallel_for_exec>  (host arrays)
 //   raja-cuda : RajaBackend<raja::simgpu_exec>            (device arrays)
+//
+// Each chunk of a launch (a static-partition thread's rows on the host, a
+// thread block on simgpu) runs on its own copy of the lambda, so a reducer
+// accumulates in a register and its per-chunk partials fold in chunk order:
+// raja-omp results depend on the pool width only.  Host launches run on the
+// raja::Resource the backend is built with (the run's pool; the default
+// resource is tlp::global_pool()).
 #pragma once
 
 #include <array>
@@ -62,14 +70,26 @@ struct RajaStorage<raja::simgpu_exec> {
   }
 };
 
+/// Field accessor for loop bodies: interior coordinates (i, j), indexed in
+/// `long` like the kernel_2d loop variables, so no narrowing conversion sits
+/// between the induction variable and the address.
+struct RajaView {
+  double* origin;
+  long stride;
+
+  double& operator()(long i, long j) const { return origin[j * stride + i]; }
+};
+
 }  // namespace detail
 
 template <typename Policy>
 class RajaBackend final : public Backend {
   using Storage = detail::RajaStorage<Policy>;
+  using RajaView = detail::RajaView;
 
 public:
-  explicit RajaBackend(std::string id) : id_(std::move(id)) {}
+  explicit RajaBackend(std::string id, raja::Resource res = {})
+      : id_(std::move(id)), res_(res) {}
 
   ~RajaBackend() override {
     for (double* f : fields_) {
@@ -112,13 +132,13 @@ public:
   }
 
   void compute_coefficients(tl::CoefficientKind kind) override {
-    CellView density = cv(FieldId::kDensity);
-    CellView kx = cv(FieldId::kKx);
-    CellView ky = cv(FieldId::kKy);
-    const int nx = nx_;
-    const int ny = ny_;
+    const RajaView density = view(FieldId::kDensity);
+    const RajaView kx = view(FieldId::kKx);
+    const RajaView ky = view(FieldId::kKy);
+    const long nx = nx_;
+    const long ny = ny_;
     raja::kernel_2d<Policy>(
-        raja::RangeSegment(0, ny + 1), raja::RangeSegment(0, nx + 1),
+        res_, raja::RangeSegment(0, ny + 1), raja::RangeSegment(0, nx + 1),
         [=](long j, long i) {
           const double wc = ref::conduction(density(i, j), kind);
           if (j < ny) {
@@ -134,14 +154,11 @@ public:
   }
 
   void init_u_u0() override {
-    CellView density = cv(FieldId::kDensity);
-    CellView energy = cv(FieldId::kEnergy1);
-    CellView u = cv(FieldId::kU);
-    CellView u0 = cv(FieldId::kU0);
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    const RajaView density = view(FieldId::kDensity);
+    const RajaView energy = view(FieldId::kEnergy1);
+    const RajaView u = view(FieldId::kU);
+    const RajaView u0 = view(FieldId::kU0);
+    interior_loop([=](long j, long i) {
       const double v = energy(i, j) * density(i, j);
       u(i, j) = v;
       u0(i, j) = v;
@@ -150,115 +167,76 @@ public:
   }
 
   void apply_operator(FieldId in, FieldId out) override {
-    CellView vin = cv(in);
-    CellView vout = cv(out);
-    CellView kx = cv(FieldId::kKx);
-    CellView ky = cv(FieldId::kKy);
+    const RajaView vin = view(in);
+    const RajaView vout = view(out);
+    const RajaView kx = view(FieldId::kKx);
+    const RajaView ky = view(FieldId::kKy);
     const double rx = rx_, ry = ry_;
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
-      vout(i, j) = ref::apply_operator_at(
-          ConstCellView{vin.origin, vin.stride},
-          ConstCellView{kx.origin, kx.stride},
-          ConstCellView{ky.origin, ky.stride}, rx, ry, i, j);
+    interior_loop([=](long j, long i) {
+      vout(i, j) = ref::apply_operator_at(vin, kx, ky, rx, ry, i, j);
     });
     charge(ref::kCostOperator);
   }
 
   void compute_residual() override {
-    CellView u = cv(FieldId::kU);
-    CellView u0 = cv(FieldId::kU0);
-    CellView r = cv(FieldId::kR);
-    CellView kx = cv(FieldId::kKx);
-    CellView ky = cv(FieldId::kKy);
+    const RajaView u = view(FieldId::kU);
+    const RajaView u0 = view(FieldId::kU0);
+    const RajaView r = view(FieldId::kR);
+    const RajaView kx = view(FieldId::kKx);
+    const RajaView ky = view(FieldId::kKy);
     const double rx = rx_, ry = ry_;
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
-      const double au = ref::apply_operator_at(
-          ConstCellView{u.origin, u.stride}, ConstCellView{kx.origin, kx.stride},
-          ConstCellView{ky.origin, ky.stride}, rx, ry, i, j);
-      r(i, j) = u0(i, j) - au;
+    interior_loop([=](long j, long i) {
+      r(i, j) = u0(i, j) - ref::apply_operator_at(u, kx, ky, rx, ry, i, j);
     });
     charge(ref::kCostResidual);
   }
 
   void copy_field(FieldId src, FieldId dst) override {
-    CellView s = cv(src);
-    CellView d = cv(dst);
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
-      d(i, j) = s(i, j);
-    });
+    const RajaView s = view(src);
+    const RajaView d = view(dst);
+    interior_loop([=](long j, long i) { d(i, j) = s(i, j); });
     charge(ref::kCostCopy);
   }
 
   void scale_copy(FieldId dst, FieldId src, double sc) override {
-    CellView s = cv(src);
-    CellView d = cv(dst);
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
-      d(i, j) = sc * s(i, j);
-    });
+    const RajaView s = view(src);
+    const RajaView d = view(dst);
+    interior_loop([=](long j, long i) { d(i, j) = sc * s(i, j); });
     charge(ref::kCostScaleCopy);
   }
 
   double dot(FieldId a, FieldId b) override {
-    CellView va = cv(a);
-    CellView vb = cv(b);
-    const int nx = nx_;
+    const RajaView va = view(a);
+    const RajaView vb = view(b);
     raja::ReduceSum<double> sum(0.0);
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
-      sum += va(i, j) * vb(i, j);
-    });
+    interior_loop([=](long j, long i) { sum += va(i, j) * vb(i, j); });
     charge(ref::kCostDot);
     charge_reduction();
     return sum.get();
   }
 
   void axpy(FieldId y, double a, FieldId x) override {
-    CellView vy = cv(y);
-    CellView vx = cv(x);
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
-      vy(i, j) += a * vx(i, j);
-    });
+    const RajaView vy = view(y);
+    const RajaView vx = view(x);
+    interior_loop([=](long j, long i) { vy(i, j) += a * vx(i, j); });
     charge(ref::kCostAxpy);
   }
 
   void zaxpy(FieldId p, double beta, FieldId z) override {
-    CellView vp = cv(p);
-    CellView vz = cv(z);
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
-      vp(i, j) = vz(i, j) + beta * vp(i, j);
-    });
+    const RajaView vp = view(p);
+    const RajaView vz = view(z);
+    interior_loop(
+        [=](long j, long i) { vp(i, j) = vz(i, j) + beta * vp(i, j); });
     charge(ref::kCostZaxpy);
   }
 
   void precondition(FieldId dst, FieldId src) override {
-    CellView d = cv(dst);
-    CellView s = cv(src);
-    CellView kx = cv(FieldId::kKx);
-    CellView ky = cv(FieldId::kKy);
+    const RajaView d = view(dst);
+    const RajaView s = view(src);
+    const RajaView kx = view(FieldId::kKx);
+    const RajaView ky = view(FieldId::kKy);
     const double rx = rx_, ry = ry_;
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    interior_loop([=](long j, long i) {
       const double diag = 1.0 + rx * (kx(i + 1, j) + kx(i, j)) +
                           ry * (ky(i, j + 1) + ky(i, j));
       d(i, j) = s(i, j) / diag;
@@ -268,14 +246,11 @@ public:
 
   void smooth_update(FieldId acc, FieldId res, FieldId w, FieldId sd,
                      double alpha, double beta) override {
-    CellView vacc = cv(acc);
-    CellView vres = cv(res);
-    CellView vw = cv(w);
-    CellView vsd = cv(sd);
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    const RajaView vacc = view(acc);
+    const RajaView vres = view(res);
+    const RajaView vw = view(w);
+    const RajaView vsd = view(sd);
+    interior_loop([=](long j, long i) {
       vacc(i, j) += vsd(i, j);
       vres(i, j) -= vw(i, j);
       vsd(i, j) = alpha * vsd(i, j) + beta * vres(i, j);
@@ -285,17 +260,14 @@ public:
 
   double jacobi_iterate() override {
     // Sweep u -> w (halo of u freshly updated by the solver), then commit.
-    CellView uold = cv(FieldId::kU);
-    CellView u0 = cv(FieldId::kU0);
-    CellView w = cv(FieldId::kW);
-    CellView kx = cv(FieldId::kKx);
-    CellView ky = cv(FieldId::kKy);
+    const RajaView uold = view(FieldId::kU);
+    const RajaView u0 = view(FieldId::kU0);
+    const RajaView w = view(FieldId::kW);
+    const RajaView kx = view(FieldId::kKx);
+    const RajaView ky = view(FieldId::kKy);
     const double rx = rx_, ry = ry_;
-    const int nx = nx_;
     raja::ReduceSum<double> err(0.0);
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    interior_loop([=](long j, long i) {
       const double diag = 1.0 + rx * (kx(i + 1, j) + kx(i, j)) +
                           ry * (ky(i, j + 1) + ky(i, j));
       const double off =
@@ -312,15 +284,12 @@ public:
   }
 
   FieldSummary field_summary() override {
-    CellView density = cv(FieldId::kDensity);
-    CellView energy = cv(FieldId::kEnergy0);
-    CellView u = cv(FieldId::kU);
-    const int nx = nx_;
+    const RajaView density = view(FieldId::kDensity);
+    const RajaView energy = view(FieldId::kEnergy0);
+    const RajaView u = view(FieldId::kU);
     const double vol_cell = cell_volume_;
     raja::ReduceSum<double> mass(0.0), ie(0.0), temp(0.0);
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    interior_loop([=](long j, long i) {
       mass += density(i, j) * vol_cell;
       ie += density(i, j) * energy(i, j) * vol_cell;
       temp += u(i, j) * vol_cell;
@@ -336,40 +305,33 @@ public:
   }
 
   void update_halo(std::initializer_list<FieldId> fields, int depth) override {
-    const int nx = nx_;
-    const int ny = ny_;
+    const long nx = nx_;
+    const long ny = ny_;
     for (const FieldId fid : fields) {
-      CellView f = cv(fid);
-      raja::kernel_2d<Policy>(raja::RangeSegment(0, ny),
-                              raja::RangeSegment(0, depth), [=](long j, long k) {
-                                f(-1 - static_cast<int>(k), static_cast<int>(j)) =
-                                    f(static_cast<int>(k), static_cast<int>(j));
-                                f(nx + static_cast<int>(k), static_cast<int>(j)) =
-                                    f(nx - 1 - static_cast<int>(k),
-                                      static_cast<int>(j));
+      const RajaView f = view(fid);
+      raja::kernel_2d<Policy>(res_, raja::RangeSegment(0, ny),
+                              raja::RangeSegment(0, depth),
+                              [=](long j, long k) {
+                                f(-1 - k, j) = f(k, j);
+                                f(nx + k, j) = f(nx - 1 - k, j);
                               });
-      raja::kernel_2d<Policy>(
-          raja::RangeSegment(0, depth),
-          raja::RangeSegment(0, nx + 2 * depth), [=](long k, long ii) {
-            const int i = static_cast<int>(ii) - depth;
-            f(i, -1 - static_cast<int>(k)) = f(i, static_cast<int>(k));
-            f(i, ny + static_cast<int>(k)) = f(i, ny - 1 - static_cast<int>(k));
-          });
+      raja::kernel_2d<Policy>(res_, raja::RangeSegment(0, depth),
+                              raja::RangeSegment(-depth, nx + depth),
+                              [=](long k, long i) {
+                                f(i, -1 - k) = f(i, k);
+                                f(i, ny + k) = f(i, ny - 1 - k);
+                              });
     }
     machine::Instrumentation::global().add_halo_exchange(
         static_cast<std::int64_t>(fields.size()));
   }
 
   void finalise() override {
-    CellView u = cv(FieldId::kU);
-    CellView density = cv(FieldId::kDensity);
-    CellView energy = cv(FieldId::kEnergy1);
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
-      energy(i, j) = u(i, j) / density(i, j);
-    });
+    const RajaView u = view(FieldId::kU);
+    const RajaView density = view(FieldId::kDensity);
+    const RajaView energy = view(FieldId::kEnergy1);
+    interior_loop(
+        [=](long j, long i) { energy(i, j) = u(i, j) / density(i, j); });
     charge(ref::kCostFinalise);
   }
 
@@ -415,14 +377,18 @@ public:
 private:
   double* field(FieldId f) const { return fields_[static_cast<std::size_t>(f)]; }
 
-  CellView cv(FieldId f) const {
-    return CellView{field(f) +
-                        static_cast<std::ptrdiff_t>(halo_) * pnx_ + halo_,
+  RajaView view(FieldId f) const {
+    return RajaView{field(f) + static_cast<std::ptrdiff_t>(halo_) * pnx_ + halo_,
                     pnx_};
   }
 
-  raja::RangeSegment interior() const {
-    return raja::RangeSegment(0, static_cast<long>(nx_) * ny_);
+  /// `body(j, i)` over the interior: rows work-shared (host) or tiled into
+  /// thread blocks (simgpu), columns contiguous.
+  template <typename Body>
+  void interior_loop(Body&& body) const {
+    raja::kernel_2d<Policy>(res_, raja::RangeSegment(0, ny_),
+                            raja::RangeSegment(0, nx_),
+                            std::forward<Body>(body));
   }
 
   void charge(const ref::KernelCost& c) const {
@@ -440,6 +406,7 @@ private:
   }
 
   std::string id_;
+  raja::Resource res_;
   int nx_ = 0, ny_ = 0, halo_ = 2, pnx_ = 0, pny_ = 0;
   double cell_volume_ = 0.0;
   std::array<double*, kNumFields> fields_{};

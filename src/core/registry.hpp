@@ -47,8 +47,9 @@ bool backend_is_gpu(const std::string& id);
 /// pair, so "unfused" is not a distinct configuration.
 bool backend_has_fused_operator_dot(const std::string& id);
 
-/// Build a shared-memory backend for `id` on a caller-owned pool (threaded
-/// variants; nullptr = tlp global pool).  GPU ids reach the simulated device
+/// Build a shared-memory backend for `id` on a caller-owned pool (the
+/// threaded variants manual-omp, ops-omp, kokkos-omp and raja-omp run on it;
+/// nullptr = tlp global pool).  GPU ids reach the simulated device
 /// through simgpu::default_device(), so callers owning a private Device (the
 /// solve service's worker shards) install a simgpu::DeviceScope around both
 /// this call and every use of the returned backend, including its

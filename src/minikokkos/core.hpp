@@ -16,8 +16,17 @@ namespace kk {
 
 /// Single host thread.
 struct Serial {};
-/// Host thread pool (Kokkos::OpenMP equivalent; backed by tlp).
-struct Threads {};
+/// Host thread pool (Kokkos::OpenMP equivalent; backed by tlp).  A value is
+/// an execution-space instance: it names the pool its launches run on, as a
+/// Kokkos::OpenMP instance names its thread team.  The default instance
+/// (null pool) runs on tlp::global_pool().
+struct Threads {
+  tlp::ThreadPool* pool = nullptr;
+
+  tlp::ThreadPool& thread_pool() const {
+    return pool != nullptr ? *pool : tlp::global_pool();
+  }
+};
 /// Simulated GPU (Kokkos::Cuda equivalent; backed by simgpu).
 struct SimGPU {};
 
@@ -54,8 +63,5 @@ struct DefaultLayout<SimGPUSpace> {
 
 /// The device every SimGPUSpace allocation and SimGPU launch uses.
 inline simgpu::Device& device() { return simgpu::default_device(); }
-
-/// The pool Threads launches use.
-inline tlp::ThreadPool& thread_pool() { return tlp::global_pool(); }
 
 }  // namespace kk

@@ -2,14 +2,13 @@
 // user kernels (OPS' ops_arg_dat / ops_arg_gbl / ACC<double> equivalents).
 #pragma once
 
-#include <array>
 #include <limits>
+#include <vector>
 
 #include "minimpi/types.hpp"
 #include "miniops/dat.hpp"
 #include "miniops/range.hpp"
 #include "miniops/stencil.hpp"
-#include "threading/thread_id.hpp"
 
 namespace ops {
 
@@ -43,36 +42,30 @@ private:
   int stride_;
 };
 
-/// Per-thread reduction scratch for one global argument.  Kernels receive a
-/// `double&` slot; slots are padded against false sharing and folded after
-/// the loop (then allreduced across ranks by the Context).
+/// Reduction scratch for one global argument: one partial per chunk of the
+/// loop (a static-partition thread's rows on the host, a thread block on the
+/// device).  The executor binds a stack-local accumulator per chunk, hands
+/// it over once with accumulate(), and the partials are folded in chunk
+/// order, so the result depends on the loop's chunking but never on which
+/// OS thread ran a chunk.  The Context then allreduces it across ranks.
 class GblScratch {
 public:
-  explicit GblScratch(ReduceOp op) : op_(op) {
-    reset();
+  explicit GblScratch(ReduceOp op) : op_(op) {}
+
+  /// Size for a loop of `chunks` chunks, every partial at the identity.
+  void begin(long chunks) {
+    partials_.assign(static_cast<std::size_t>(chunks), identity_of(op_));
   }
 
-  void reset() {
-    const double identity = identity_of(op_);
-    for (auto& s : slots_) s.value = identity;
-  }
-
-  double& slot() {
-    return slots_[static_cast<std::size_t>(tlp::current_thread_id())].value;
-  }
-
-  /// Fold a band-local partial into this thread's slot.  The par_loop host
-  /// executor accumulates each chunk into a stack local and calls this once
-  /// per chunk, so the hot loop touches neither thread-local storage nor the
-  /// shared slot array.
-  void accumulate(double band_value) {
-    double& s = slot();
-    s = minimpi::apply(op_, s, band_value);
+  /// Fold chunk `chunk`'s partial in; each chunk has its own slot.
+  void accumulate(long chunk, double value) {
+    double& p = partials_[static_cast<std::size_t>(chunk)];
+    p = minimpi::apply(op_, p, value);
   }
 
   double combined() const {
     double acc = identity_of(op_);
-    for (const auto& s : slots_) acc = minimpi::apply(op_, acc, s.value);
+    for (const double p : partials_) acc = minimpi::apply(op_, acc, p);
     return acc;
   }
 
@@ -89,11 +82,8 @@ public:
   }
 
 private:
-  struct alignas(64) Slot {
-    double value;
-  };
   ReduceOp op_;
-  std::array<Slot, tlp::kMaxThreadIds> slots_;
+  std::vector<double> partials_;
 };
 
 /// Global-reduction argument: result lands in `*target` once the loop (and

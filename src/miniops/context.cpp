@@ -302,7 +302,8 @@ void Context::enqueue_reflection(Dat& dat, int depth) {
   rec.dats.push_back(LoopRecord::DatUse{&dat, AccessMode::kReadWrite, -reach,
                                         reach, -reach, reach});
   Dat* d = &dat;
-  rec.host_exec = [d, nx, ny, depth](int /*x0*/, int /*x1*/, int y0, int y1) {
+  rec.exec = [d, nx, ny, depth](long /*chunk*/, int /*x0*/, int /*x1*/, int y0,
+                                int y1) {
     // X mirror for the interior rows of this band (row-local).
     for (int j = std::max(y0, 0); j < std::min(y1, ny); ++j) {
       for (int k = 0; k < depth; ++k) {
@@ -420,14 +421,15 @@ void Context::run_host_loop(const LoopRecord& loop) {
   prepare_reads(loop);
   flush();  // prepare_reads may have queued halo reflections
   const Range& r = loop.local_range;
+  tlp::ThreadPool* p = pool();
+  for (GblScratch* g : loop.reductions) g->begin(p != nullptr ? p->size() : 1);
   if (!r.empty()) {
-    tlp::ThreadPool* p = pool();
     if (p != nullptr) {
-      p->parallel_for(r.y0, r.y1, [&](long lo, long hi) {
-        loop.host_exec(r.x0, r.x1, static_cast<int>(lo), static_cast<int>(hi));
+      p->parallel_for(r.y0, r.y1, [&](int tid, long lo, long hi) {
+        loop.exec(tid, r.x0, r.x1, static_cast<int>(lo), static_cast<int>(hi));
       });
     } else {
-      loop.host_exec(r.x0, r.x1, r.y0, r.y1);
+      loop.exec(0, r.x0, r.x1, r.y0, r.y1);
     }
   }
   mark_after_execution(loop);
@@ -440,6 +442,9 @@ void Context::run_device_loop(LoopRecord& loop) {
     ensure_on_device(*use.dat);
   }
   const Range& r = loop.local_range;
+  for (GblScratch* g : loop.reductions) {
+    g->begin(options_.device->blocks_2d(r.x1 - r.x0, r.y1 - r.y0));
+  }
   if (!r.empty()) {
     const long long cells = r.cells();
     std::int64_t br = 0, bw = 0;
@@ -447,10 +452,13 @@ void Context::run_device_loop(LoopRecord& loop) {
       if (reads(use.mode)) br += cells * 8;
       if (writes(use.mode)) bw += cells * 8;
     }
-    options_.device->launch_2d(
+    // One chunk per thread block: reduction partials fold in block order.
+    options_.device->launch_2d_blocks(
         loop.name, r.x1 - r.x0, r.y1 - r.y0,
         {br, bw, cells * loop.flops_per_cell},
-        [&](int x, int y) { loop.device_elem(r.x0 + x, r.y0 + y); });
+        [&](long block, int x0, int x1, int y0, int y1) {
+          loop.exec(block, r.x0 + x0, r.x0 + x1, r.y0 + y0, r.y0 + y1);
+        });
   }
   for (const auto& use : loop.dats) {
     if (writes(use.mode)) {
@@ -470,7 +478,7 @@ void Context::execute(LoopRecord&& loop) {
     run_host_loop(loop);
     return;
   }
-  if (loop.has_reduction) {
+  if (!loop.reductions.empty()) {
     flush();
     run_host_loop(loop);
     return;
@@ -534,12 +542,12 @@ void Context::flush() {
       if (s.y_end <= s.y_begin) continue;
       const Range& r = chain[k].local_range;
       if (p != nullptr) {
-        p->parallel_for(s.y_begin, s.y_end, [&](long lo, long hi) {
-          chain[k].host_exec(r.x0, r.x1, static_cast<int>(lo),
-                             static_cast<int>(hi));
+        p->parallel_for(s.y_begin, s.y_end, [&](int tid, long lo, long hi) {
+          chain[k].exec(tid, r.x0, r.x1, static_cast<int>(lo),
+                        static_cast<int>(hi));
         });
       } else {
-        chain[k].host_exec(r.x0, r.x1, s.y_begin, s.y_end);
+        chain[k].exec(0, r.x0, r.x1, s.y_begin, s.y_end);
       }
     }
   }

@@ -65,7 +65,9 @@ struct LoopRecord {
     int xlo, xhi;
   };
   std::vector<DatUse> dats;
-  bool has_reduction = false;
+  /// The loop's global-reduction arguments; the engine sizes each for the
+  /// chunks it runs the loop in.
+  std::vector<GblScratch*> reductions;
   /// Queued halo-maintenance record (reflection): clears rather than sets
   /// the halo dirty bit, and bypasses the stencil-hazard check.
   bool is_halo_update = false;
@@ -74,10 +76,9 @@ struct LoopRecord {
   /// local_range.cells().
   std::int64_t traffic_cells_override = -1;
 
-  /// Execute rows [y0,y1) x columns [x0,x1) (local coords) on host memory.
-  std::function<void(int x0, int x1, int y0, int y1)> host_exec;
-  /// Execute one element (local coords) on device memory.
-  std::function<void(int i, int j)> device_elem;
+  /// Execute rows [y0,y1) x columns [x0,x1) (local coords) as chunk `chunk`
+  /// of the loop, on host memory or, in a device context, on device memory.
+  std::function<void(long chunk, int x0, int x1, int y0, int y1)> exec;
 };
 
 class Context {

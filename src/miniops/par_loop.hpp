@@ -7,8 +7,8 @@
 //
 // Kernel parameters correspond positionally to the trailing argument
 // descriptors: ArgDat -> ops::Acc bound to the current point, ArgGbl ->
-// double& (a per-thread reduction slot; the final combined/allreduced value
-// lands in the ArgGbl's target after the call).
+// double& (the running chunk's accumulator; the final combined/allreduced
+// value lands in the ArgGbl's target after the call).
 #pragma once
 
 #include <memory>
@@ -21,65 +21,44 @@ namespace ops {
 
 namespace detail {
 
-struct HostBind {
+// --- chunk execution ------------------------------------------------------------
+//
+// The executor binds arguments once per chunk, not once per element: a dat
+// becomes its origin pointer (host or device memory, as the context runs),
+// and a reduction argument becomes a stack-local accumulator (GblBand) that
+// the kernel updates through a plain double&, handed to the scratch's slot
+// for this chunk afterwards.  This keeps the shared partials array out of
+// the inner loop, so a dot-product par_loop runs at the speed of the
+// underlying row reduction, on the host and on the device alike.
+
+struct DatBand {
   double* origin;
   int stride;
 };
-struct DevBind {
-  Dat* dat;
-};
-using GblBind = std::shared_ptr<GblScratch>;
-
-inline HostBind bind_host(const ArgDat& a) {
-  return HostBind{a.dat->origin(), a.dat->row_stride()};
-}
-inline const GblBind& bind_host(const GblBind& g) { return g; }
-
-inline DevBind bind_dev(const ArgDat& a) { return DevBind{a.dat}; }
-inline const GblBind& bind_dev(const GblBind& g) { return g; }
-
-template <typename B>
-decltype(auto) deref(const B& b, int i, int j) {
-  if constexpr (std::is_same_v<B, HostBind>) {
-    return Acc(b.origin + static_cast<std::ptrdiff_t>(j) * b.stride + i,
-               b.stride);
-  } else if constexpr (std::is_same_v<B, DevBind>) {
-    double* origin = b.dat->device_origin();
-    const int stride = b.dat->row_stride();
-    return Acc(origin + static_cast<std::ptrdiff_t>(j) * stride + i, stride);
-  } else {
-    static_assert(std::is_same_v<B, GblBind>, "unknown binder");
-    return static_cast<double&>(b->slot());
-  }
-}
-
-// --- host band execution ------------------------------------------------------
-//
-// The host executor binds arguments once per chunk, not once per element: a
-// reduction argument becomes a stack-local accumulator (GblBand) that the
-// kernel updates through a plain double&, flushed into the per-thread slot
-// after the chunk.  This keeps thread-id TLS lookups and the (padded but
-// still shared) slot array out of the inner loop, so a dot-product par_loop
-// runs at the speed of the underlying row reduction.
 
 struct GblBand {
   GblScratch* scratch;
   double local;
 };
 
-inline HostBind bind_band(const ArgDat& a) { return bind_host(a); }
-inline GblBand bind_band(const GblBind& g) {
+inline DatBand bind_band(const ArgDat& a, bool on_device) {
+  return DatBand{on_device ? a.dat->device_origin() : a.dat->origin(),
+                 a.dat->row_stride()};
+}
+inline GblBand bind_band(const std::shared_ptr<GblScratch>& g, bool) {
   return GblBand{g.get(), GblScratch::identity_of(g->op())};
 }
 
-inline Acc band_deref(HostBind& b, int i, int j) {
+inline Acc band_deref(DatBand& b, int i, int j) {
   return Acc(b.origin + static_cast<std::ptrdiff_t>(j) * b.stride + i,
              b.stride);
 }
 inline double& band_deref(GblBand& g, int /*i*/, int /*j*/) { return g.local; }
 
-inline void band_flush(HostBind&) {}
-inline void band_flush(GblBand& g) { g.scratch->accumulate(g.local); }
+inline void band_flush(DatBand&, long) {}
+inline void band_flush(GblBand& g, long chunk) {
+  g.scratch->accumulate(chunk, g.local);
+}
 
 // Argument classification helpers.
 inline void collect(LoopRecord& rec, const ArgDat& a) {
@@ -87,24 +66,24 @@ inline void collect(LoopRecord& rec, const ArgDat& a) {
                                         a.stencil->yhi(), a.stencil->xlo(),
                                         a.stencil->xhi()});
 }
-inline void collect(LoopRecord& rec, const ArgGbl&) {
-  rec.has_reduction = true;
-}
+inline void collect(LoopRecord&, const ArgGbl&) {}
 
 /// Normalize an argument for closure capture: ArgGbl becomes a shared
-/// scratch, ArgDat passes through.
+/// scratch, registered with the loop record; ArgDat passes through.
 struct NormalizedGbl {
-  GblBind scratch;
+  std::shared_ptr<GblScratch> scratch;
   double* target;
   ReduceOp op;
 };
 
-inline const ArgDat& normalize(const ArgDat& a,
+inline const ArgDat& normalize(const ArgDat& a, LoopRecord&,
                                std::vector<NormalizedGbl>&) {
   return a;
 }
-inline GblBind normalize(const ArgGbl& g, std::vector<NormalizedGbl>& gbls) {
+inline std::shared_ptr<GblScratch> normalize(const ArgGbl& g, LoopRecord& rec,
+                                             std::vector<NormalizedGbl>& gbls) {
   auto scratch = std::make_shared<GblScratch>(g.op);
+  rec.reductions.push_back(scratch.get());
   gbls.push_back(NormalizedGbl{scratch, g.target, g.op});
   return scratch;
 }
@@ -134,36 +113,27 @@ void par_loop(Context& ctx, const std::string& name, const Range& global_range,
   (detail::collect(rec, args), ...);
 
   std::vector<detail::NormalizedGbl> gbls;
-  auto binders_src = std::make_tuple(detail::normalize(args, gbls)...);
+  auto binders_src = std::make_tuple(detail::normalize(args, rec, gbls)...);
 
-  if (ctx.is_device()) {
-    rec.device_elem = [kernel, binders = std::move(binders_src)](int i, int j) {
-      std::apply(
-          [&](const auto&... b) {
-            kernel(detail::deref(detail::bind_dev(b), i, j)...);
-          },
-          binders);
-    };
-  } else {
-    rec.host_exec = [kernel, binders = std::move(binders_src)](
-                        int x0, int x1, int y0, int y1) {
-      std::apply(
-          [&](const auto&... b) {
-            auto band = std::make_tuple(detail::bind_band(b)...);
-            std::apply(
-                [&](auto&... bb) {
-                  for (int j = y0; j < y1; ++j) {
-                    for (int i = x0; i < x1; ++i) {
-                      kernel(detail::band_deref(bb, i, j)...);
-                    }
+  rec.exec = [kernel, binders = std::move(binders_src),
+              on_device = ctx.is_device()](long chunk, int x0, int x1, int y0,
+                                           int y1) {
+    std::apply(
+        [&](const auto&... b) {
+          auto band = std::make_tuple(detail::bind_band(b, on_device)...);
+          std::apply(
+              [&](auto&... bb) {
+                for (int j = y0; j < y1; ++j) {
+                  for (int i = x0; i < x1; ++i) {
+                    kernel(detail::band_deref(bb, i, j)...);
                   }
-                  (detail::band_flush(bb), ...);
-                },
-                band);
-          },
-          binders);
-    };
-  }
+                }
+                (detail::band_flush(bb, chunk), ...);
+              },
+              band);
+        },
+        binders);
+  };
 
   ctx.execute(std::move(rec));
 

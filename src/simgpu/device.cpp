@@ -1,5 +1,6 @@
 #include "simgpu/device.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <new>
 #include <vector>
@@ -101,21 +102,17 @@ void Device::set_block_size(int bx, int by) {
   block_ = Dim3{bx, by, 1};
 }
 
-void Device::launch_1d(const std::string& name, long n,
-                       const KernelTraffic& traffic,
-                       const std::function<void(long)>& body) {
-  (void)name;
-  if (n <= 0) return;
-  const long block = static_cast<long>(block_.x) * block_.y;
-  const long grid = (n + block - 1) / block;
-  // Blocks are scheduled across workers like SMs pick up thread blocks.
-  pool().parallel_for(0, grid, [&](long blo, long bhi) {
-    for (long b = blo; b < bhi; ++b) {
-      const long lo = b * block;
-      const long hi = std::min(lo + block, n);
-      for (long i = lo; i < hi; ++i) body(i);
-    }
-  });
+long Device::blocks_1d(long n) const {
+  const long block = block_.count();
+  return n <= 0 ? 0 : (n + block - 1) / block;
+}
+
+long Device::blocks_2d(int nx, int ny) const {
+  if (nx <= 0 || ny <= 0) return 0;
+  return static_cast<long>(div_up(nx, block_.x)) * div_up(ny, block_.y);
+}
+
+void Device::count_launch(const KernelTraffic& traffic) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++launches_;
@@ -124,41 +121,63 @@ void Device::launch_1d(const std::string& name, long n,
   instr().add_traffic(traffic.bytes_read, traffic.bytes_written, traffic.flops);
 }
 
-void Device::launch_2d(const std::string& name, int nx, int ny,
-                       const KernelTraffic& traffic,
-                       const std::function<void(int, int)>& body) {
+void Device::launch_1d_blocks(
+    const std::string& name, long n, const KernelTraffic& traffic,
+    const std::function<void(long, long, long)>& body) {
+  (void)name;
+  if (n <= 0) return;
+  const long block = block_.count();
+  // Blocks are scheduled across workers like SMs pick up thread blocks.
+  pool().parallel_for(0, blocks_1d(n), [&](long blo, long bhi) {
+    for (long b = blo; b < bhi; ++b) {
+      body(b, b * block, std::min(b * block + block, n));
+    }
+  });
+  count_launch(traffic);
+}
+
+void Device::launch_2d_blocks(
+    const std::string& name, int nx, int ny, const KernelTraffic& traffic,
+    const std::function<void(long, int, int, int, int)>& body) {
   (void)name;
   if (nx <= 0 || ny <= 0) return;
   const int gx = div_up(nx, block_.x);
-  const int gy = div_up(ny, block_.y);
-  const long blocks = static_cast<long>(gx) * gy;
-  pool().parallel_for(0, blocks, [&](long blo, long bhi) {
+  pool().parallel_for(0, blocks_2d(nx, ny), [&](long blo, long bhi) {
     for (long b = blo; b < bhi; ++b) {
-      const int bx = static_cast<int>(b % gx);
-      const int by = static_cast<int>(b / gx);
-      const int x0 = bx * block_.x;
-      const int y0 = by * block_.y;
-      const int x1 = std::min(x0 + block_.x, nx);
-      const int y1 = std::min(y0 + block_.y, ny);
-      for (int j = y0; j < y1; ++j) {
-        for (int i = x0; i < x1; ++i) body(i, j);
-      }
+      const int x0 = static_cast<int>(b % gx) * block_.x;
+      const int y0 = static_cast<int>(b / gx) * block_.y;
+      body(b, x0, std::min(x0 + block_.x, nx), y0,
+           std::min(y0 + block_.y, ny));
     }
   });
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++launches_;
-  }
-  instr().add_launch();
-  instr().add_traffic(traffic.bytes_read, traffic.bytes_written, traffic.flops);
+  count_launch(traffic);
+}
+
+void Device::launch_1d(const std::string& name, long n,
+                       const KernelTraffic& traffic,
+                       const std::function<void(long)>& body) {
+  launch_1d_blocks(name, n, traffic, [&](long, long lo, long hi) {
+    for (long i = lo; i < hi; ++i) body(i);
+  });
+}
+
+void Device::launch_2d(const std::string& name, int nx, int ny,
+                       const KernelTraffic& traffic,
+                       const std::function<void(int, int)>& body) {
+  launch_2d_blocks(name, nx, ny, traffic,
+                   [&](long, int x0, int x1, int y0, int y1) {
+                     for (int j = y0; j < y1; ++j) {
+                       for (int i = x0; i < x1; ++i) body(i, j);
+                     }
+                   });
 }
 
 double Device::reduce_sum(const std::string& name, long n,
                           const std::function<double(long)>& value_of) {
   (void)name;
   if (n <= 0) return 0.0;
-  const long block = static_cast<long>(block_.x) * block_.y;
-  const long grid = (n + block - 1) / block;
+  const long block = block_.count();
+  const long grid = blocks_1d(n);
   std::vector<double> partials(static_cast<std::size_t>(grid), 0.0);
   pool().parallel_for(0, grid, [&](long blo, long bhi) {
     for (long b = blo; b < bhi; ++b) {

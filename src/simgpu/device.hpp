@@ -73,6 +73,21 @@ public:
                  const KernelTraffic& traffic,
                  const std::function<void(int, int)>& body);
 
+  /// The same launches one call per thread block: `body(block, lo, hi)`
+  /// runs elements [lo, hi), `body(block, x0, x1, y0, y1)` the tile
+  /// [x0,x1) x [y0,y1).  Blocks are numbered 0..blocks-1 (x fastest in 2D),
+  /// so a caller can keep state per block, as a CUDA kernel keeps a
+  /// reduction partial in shared memory, and fold it in block order.
+  /// launch_1d/launch_2d are these with the per-element loop inside.
+  long blocks_1d(long n) const;
+  long blocks_2d(int nx, int ny) const;
+  void launch_1d_blocks(const std::string& name, long n,
+                        const KernelTraffic& traffic,
+                        const std::function<void(long, long, long)>& body);
+  void launch_2d_blocks(
+      const std::string& name, int nx, int ny, const KernelTraffic& traffic,
+      const std::function<void(long, int, int, int, int)>& body);
+
   /// Two-phase device reduction: sum of value_of(i) for i in [0, n).
   /// Deterministic for a fixed block size: per-block partials are reduced in
   /// block order.  Counts the partials round-trip as device traffic plus one
@@ -88,6 +103,7 @@ public:
 
 private:
   tlp::ThreadPool& pool();
+  void count_launch(const KernelTraffic& traffic);
   void check_device_ptr(const void* ptr, std::size_t bytes,
                         const char* what) const;
 

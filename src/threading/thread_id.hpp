@@ -1,6 +1,7 @@
-// thread_id.hpp — process-unique small integer id per OS thread.  Reducer
-// objects (miniraja) and per-thread scratch pools index arrays with this
-// instead of hashing std::thread::id.
+// thread_id.hpp — process-unique small integer id per OS thread, handed
+// out first come, first served.  Because that order varies from run to run,
+// nothing that folds partial results may key them by this id: reductions
+// index their partials by the loop's region tid or chunk instead.
 #pragma once
 
 #include <atomic>

@@ -191,6 +191,12 @@ void ThreadPool::parallel_for(long begin, long end,
            [&](int /*tid*/, long lo, long hi) { body(lo, hi); });
 }
 
+void ThreadPool::parallel_for(long begin, long end,
+                              const std::function<void(int, long, long)>& body,
+                              ForOptions opts) {
+  run_loop(begin, end, opts, body);
+}
+
 ThreadPool& global_pool() {
   static ThreadPool pool(default_threads());
   return pool;

@@ -5,9 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/config.hpp"
+#include "core/backends/kokkos_backend.hpp"
+#include "core/backends/raja_backend.hpp"
+#include "core/driver.hpp"
 #include "core/registry.hpp"
+#include "threading/thread_id.hpp"
 
 namespace {
 
@@ -197,6 +204,86 @@ TEST(Physics, HeatFlowsFromHotToCold) {
   // max-min spread in step temps being impossible to see from summaries.
   // Spot-check: ie stays finite and positive.
   EXPECT_GT(run.final_summary.ie, 0.0);
+}
+
+// --- determinism and thread-count plumbing ------------------------------------
+
+/// Spawns and joins `count` threads that each take a process-wide thread
+/// id, so the next pool's workers are numbered after them: a reduction
+/// keyed by those ids, not by loop chunk, would fold in a different order.
+void prime_thread_ids(int count) {
+  std::vector<std::thread> primers;
+  for (int k = 0; k < count; ++k) {
+    primers.emplace_back([] { (void)tlp::current_thread_id(); });
+  }
+  for (std::thread& t : primers) t.join();
+}
+
+tl::ProblemConfig deck_problem(const std::string& deck) {
+  return tl::Config::load(std::string(TEA_SOURCE_DIR) + "/examples/decks/" +
+                          deck)
+      .problem();
+}
+
+void expect_bit_equal(const tea::RunResult& a, const tea::RunResult& b,
+                      const std::string& label) {
+  ASSERT_EQ(a.steps.size(), b.steps.size()) << label;
+  EXPECT_EQ(a.total_iterations, b.total_iterations) << label;
+  for (std::size_t s = 0; s < a.steps.size(); ++s) {
+    EXPECT_EQ(a.steps[s].solve.iterations, b.steps[s].solve.iterations)
+        << label << " step " << s;
+    EXPECT_EQ(a.steps[s].solve.final_rr, b.steps[s].solve.final_rr)
+        << label << " step " << s;
+  }
+  EXPECT_EQ(a.final_summary.vol, b.final_summary.vol) << label;
+  EXPECT_EQ(a.final_summary.mass, b.final_summary.mass) << label;
+  EXPECT_EQ(a.final_summary.ie, b.final_summary.ie) << label;
+  EXPECT_EQ(a.final_summary.temp, b.final_summary.temp) << label;
+}
+
+class FixedWidthDeterminism : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(FixedWidthDeterminism, RepeatedRunsAreBitEqualAtFourThreads) {
+  const tl::ProblemConfig cfg = deck_problem("tea_bm_1.in");
+  tea::RunOptions options;
+  options.threads = 4;
+  prime_thread_ids(3);
+  const tea::RunResult first = tea::run_simulation(GetParam(), cfg, options);
+  ASSERT_TRUE(first.all_converged()) << GetParam();
+  for (int run = 1; run < 6; ++run) {
+    prime_thread_ids(run % 3 + 1);
+    const tea::RunResult again = tea::run_simulation(GetParam(), cfg, options);
+    expect_bit_equal(again, first, GetParam() + " run " + std::to_string(run));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadedHost, FixedWidthDeterminism,
+                         ::testing::Values("ops-omp", "raja-omp",
+                                           "kokkos-omp"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
+
+TEST(ThreadOptions, KokkosAndRajaHostVariantsRunOnTheRequestedPool) {
+  // With RunOptions.threads = 1 every launch is a single chunk, so the run
+  // is bit-equal to the same backend on the sequential execution space; a
+  // run on the (wider) global pool would associate its sums differently.
+  const tl::ProblemConfig cfg = test_problem(48, 2, tl::SolverKind::kCg);
+  tea::RunOptions one;
+  one.threads = 1;
+  const tea::TeaDriver driver(cfg);
+
+  tea::KokkosBackend<kk::Serial> kokkos_serial("kokkos-serial");
+  expect_bit_equal(tea::run_simulation("kokkos-omp", cfg, one),
+                   driver.run(kokkos_serial), "kokkos-omp@1");
+
+  tea::RajaBackend<raja::seq_exec> raja_seq("raja-seq");
+  expect_bit_equal(tea::run_simulation("raja-omp", cfg, one),
+                   driver.run(raja_seq), "raja-omp@1");
 }
 
 TEST(Registry, UnknownBackendThrows) {

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/config.hpp"
 #include "core/registry.hpp"
@@ -96,6 +97,43 @@ TEST_P(DeviceVariantGoldenTest, MatchesSerialGoldenTableOnBm1Cg) {
   }
   FAIL() << "tea_bm_1/cg missing from the golden table";
 }
+
+// kokkos-cuda and raja-cuda reduce through their frameworks' device paths
+// (two-phase reduce_sum over the flat index; per-block reducer copies folded
+// in block order), so every solver is pinned against the table on grids of
+// 1x2 (tea_bm_1), 1x8 (tea_circle) and 3x20 (tea_bm_16, partial edge
+// blocks) default 64x8 thread blocks.
+class FrameworkDeviceGoldenTest
+    : public ::testing::TestWithParam<std::tuple<const char*, GoldenCase>> {};
+
+TEST_P(FrameworkDeviceGoldenTest, MatchesSerialGoldenTable) {
+  ASSERT_FALSE(decks_dir().empty());
+  expect_matches_serial_table(std::get<1>(GetParam()), std::get<0>(GetParam()));
+}
+
+std::vector<GoldenCase> framework_device_cases() {
+  std::vector<GoldenCase> cases;
+  for (const GoldenCase& c : kGolden) {
+    const std::string deck = c.deck;
+    if (deck == "tea_bm_1" || deck == "tea_circle" || deck == "tea_bm_16") {
+      cases.push_back(c);
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GoldenFrameworkDevice, FrameworkDeviceGoldenTest,
+    ::testing::Combine(::testing::Values("kokkos-cuda", "raja-cuda"),
+                       ::testing::ValuesIn(framework_device_cases())),
+    [](const ::testing::TestParamInfo<std::tuple<const char*, GoldenCase>>& i) {
+      std::string name = std::string(std::get<0>(i.param)) + "_" +
+                         std::get<1>(i.param).deck + "_" +
+                         std::get<1>(i.param).solver;
+      for (char& ch : name)
+        if (ch == '-') ch = '_';
+      return name;
+    });
 
 INSTANTIATE_TEST_SUITE_P(GoldenDeviceVariants, DeviceVariantGoldenTest,
                          ::testing::Values("kokkos-cuda", "raja-cuda",

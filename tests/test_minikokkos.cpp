@@ -2,6 +2,8 @@
 // parallel dispatch across all three execution spaces.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <type_traits>
 
 #include "minikokkos/minikokkos.hpp"
@@ -148,6 +150,101 @@ TYPED_TEST(ExecSpaceTest, ReduceOverOffsetRange) {
       "sum", kk::RangePolicy<Exec>(100, 200),
       [](long, double& acc) { acc += 1.0; }, result);
   EXPECT_DOUBLE_EQ(result, 100.0);
+}
+
+/// A cell value whose sums round differently under different association,
+/// so an order change shows up in the low bits.
+double cell_value(long i0, long i1) {
+  return 1.0 / static_cast<double>(3 + i0 * 37 + i1 * 11);
+}
+
+TYPED_TEST(ExecSpaceTest, MDRangeReduceCoversOffsetRows) {
+  using Exec = TypeParam;
+  double result = 0.0;
+  kk::parallel_reduce(
+      "count", kk::MDRangePolicy2<Exec>(3, 20, 5, 31),
+      [](long, long, double& acc) { acc += 1.0; }, result);
+  EXPECT_DOUBLE_EQ(result, 17.0 * 26.0);
+  kk::parallel_reduce(
+      "empty", kk::MDRangePolicy2<Exec>(4, 4, 0, 10),
+      [](long, long, double& acc) { acc += 1.0; }, result);
+  EXPECT_EQ(result, 0.0);
+}
+
+// Serial and SimGPU reduce an MDRange in the flat LayoutRight order of the
+// RangePolicy reduce over the same cells (SimGPU with the same block
+// geometry), so the two are bit-equal.
+template <typename Exec>
+void expect_mdrange_reduce_matches_flat() {
+  const long n0 = 37, n1 = 53;
+  double md = 0.0;
+  kk::parallel_reduce(
+      "md", kk::MDRangePolicy2<Exec>(0, n0, 0, n1),
+      [](long i0, long i1, double& acc) { acc += cell_value(i0, i1); }, md);
+  double flat = 0.0;
+  kk::parallel_reduce(
+      "flat", kk::RangePolicy<Exec>(0, n0 * n1),
+      [=](long idx, double& acc) { acc += cell_value(idx / n1, idx % n1); },
+      flat);
+  EXPECT_EQ(md, flat);
+}
+
+TEST(MDRangeReduce, SerialIsBitEqualToFlatRangeReduce) {
+  expect_mdrange_reduce_matches_flat<kk::Serial>();
+}
+
+TEST(MDRangeReduce, SimGPUIsBitEqualToFlatRangeReduce) {
+  expect_mdrange_reduce_matches_flat<kk::SimGPU>();
+}
+
+TEST(MDRangeReduce, ThreadsFoldsRowChunksInStaticPartitionOrder) {
+  // Threads hands each pool thread its static share of rows, sums it in
+  // one accumulator and folds the shares in thread order: the result is
+  // that exact sum, whichever OS threads ran the shares.
+  tlp::ThreadPool pool(3);
+  const long n0 = 41, n1 = 29;
+  double expect = 0.0;
+  for (int tid = 0; tid < pool.size(); ++tid) {
+    const tlp::StaticRange rows = tlp::static_partition(0, n0, tid, 3);
+    double share = 0.0;
+    for (long i0 = rows.begin; i0 < rows.end; ++i0) {
+      for (long i1 = 0; i1 < n1; ++i1) share += cell_value(i0, i1);
+    }
+    expect += share;
+  }
+  for (int run = 0; run < 5; ++run) {
+    double result = 0.0;
+    kk::parallel_reduce(
+        "md", kk::MDRangePolicy2<kk::Threads>(kk::Threads{&pool}, 0, n0, 0, n1),
+        [](long i0, long i1, double& acc) { acc += cell_value(i0, i1); },
+        result);
+    EXPECT_EQ(result, expect);
+  }
+}
+
+TEST(Threads, InstanceRunsOnItsPool) {
+  // A one-thread instance runs every launch on the calling thread; the
+  // default instance is the global pool.
+  tlp::ThreadPool one(1);
+  const kk::Threads space{&one};
+  EXPECT_EQ(&space.thread_pool(), &one);
+  EXPECT_EQ(&kk::Threads{}.thread_pool(), &tlp::global_pool());
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  kk::parallel_for("for", kk::MDRangePolicy2<kk::Threads>(space, 0, 64, 0, 8),
+                   [&](long, long) {
+                     if (std::this_thread::get_id() != caller) ++elsewhere;
+                   });
+  double sum = 0.0;
+  kk::parallel_reduce(
+      "reduce", kk::RangePolicy<kk::Threads>(space, 0, 64),
+      [&](long, double& acc) {
+        if (std::this_thread::get_id() != caller) ++elsewhere;
+        acc += 1.0;
+      },
+      sum);
+  EXPECT_EQ(elsewhere.load(), 0);
+  EXPECT_DOUBLE_EQ(sum, 64.0);
 }
 
 TEST(Parallel, InstrumentationCountsHostLaunch) {
