@@ -71,8 +71,12 @@ struct RajaStorage<raja::simgpu_exec> {
 };
 
 /// Field accessor for loop bodies: interior coordinates (i, j), indexed in
-/// `long` like the kernel_2d loop variables, so no narrowing conversion sits
-/// between the induction variable and the address.
+/// `long` like the kernel_2d loop variables.  The `int`-indexed CellView
+/// puts a narrowing conversion between the induction variable and the
+/// address; GCC then cannot analyse the access as affine and leaves the
+/// loop scalar ("data ref analysis failed"), which made raja-omp 2.6x
+/// slower on a 500x500 solve (0.78 s against 0.30 s per solve on 2 threads
+/// of a 4-vCPU Xeon host).
 struct RajaView {
   double* origin;
   long stride;

@@ -3,9 +3,9 @@
 // parallel_for/parallel_reduce mirror Kokkos' functor signatures:
 //   RangePolicy    : f(i)            / f(i, sum&)
 //   MDRangePolicy2 : f(i0, i1)       / f(i0, i1, sum&)
-// A policy carries its execution-space instance (Kokkos'
-// `RangePolicy<Exec>(exec, b, e)`), so Threads launches run on the pool
-// that instance names.
+// An MDRangePolicy2 carries its execution-space instance (Kokkos'
+// `MDRangePolicy<Exec>(exec, ...)`), so Threads launches run on the pool
+// that instance names; a RangePolicy uses the default instance.
 //
 // Host MDRange dispatch hands each chunk whole i0 rows and runs i1
 // contiguously inside, so loop bodies see plain affine indices and no
@@ -39,7 +39,6 @@ struct RangePolicy {
   long begin = 0;
   long end = 0;
   RangePolicy(long b, long e) : begin(b), end(e) {}
-  RangePolicy(Exec s, long b, long e) : space(s), begin(b), end(e) {}
 };
 
 /// 2D MDRange (Kokkos::MDRangePolicy<Rank<2>>); iteration order follows

@@ -3,7 +3,7 @@
 // simgpu, which counts its own.
 //
 // Every launch runs its body in chunks: one chunk per static-partition
-// thread of the resource's pool (omp_parallel_for_exec), one per thread
+// thread of the launch's pool (omp_parallel_for_exec), one per thread
 // block of the device grid (simgpu_exec), a single chunk under seq_exec.
 // Each chunk runs on its own copy of the body, so captured reducers
 // accumulate privately and fold in chunk order (see reduce.hpp).  kernel_2d
@@ -23,10 +23,10 @@
 
 namespace raja {
 
-/// Host resource a loop runs on (RAJA::resources::Host equivalent): the pool
-/// omp_parallel_for_exec work-shares over.  The default resource (null pool)
-/// uses tlp::global_pool().  seq_exec ignores it; simgpu_exec launches on the
-/// calling thread's simgpu::default_device().
+/// Host resource a kernel_2d runs on (RAJA::resources::Host equivalent): the
+/// pool omp_parallel_for_exec work-shares over.  The default resource (null
+/// pool) uses tlp::global_pool().  seq_exec ignores it; simgpu_exec launches
+/// on the calling thread's simgpu::default_device().
 struct Resource {
   tlp::ThreadPool* pool = nullptr;
 
@@ -74,8 +74,10 @@ TL_TARGET_CLONES void run_rows(const Body& prototype, long chunk, long chunks,
 
 }  // namespace detail
 
+/// 1D loop `f(i)`; omp_parallel_for_exec work-shares over
+/// tlp::global_pool().
 template <typename Policy, typename F>
-void forall(const Resource& res, const RangeSegment& seg, F&& f) {
+void forall(const RangeSegment& seg, F&& f) {
   using Body = std::decay_t<F>;
   const long b = seg.begin();
   const long e = seg.end();
@@ -85,7 +87,7 @@ void forall(const Resource& res, const RangeSegment& seg, F&& f) {
     });
     detail::instr().add_launch();
   } else if constexpr (std::is_same_v<Policy, omp_parallel_for_exec>) {
-    tlp::ThreadPool& pool = res.thread_pool();
+    tlp::ThreadPool& pool = tlp::global_pool();
     const long chunks = pool.size();
     detail::with_prototype<Body>(f, chunks, [&](const Body& prototype) {
       pool.parallel_for(b, e, [&](int tid, long lo, long hi) {
@@ -105,11 +107,6 @@ void forall(const Resource& res, const RangeSegment& seg, F&& f) {
                            });
     });
   }
-}
-
-template <typename Policy, typename F>
-void forall(const RangeSegment& seg, F&& f) {
-  forall<Policy>(Resource{}, seg, std::forward<F>(f));
 }
 
 /// Nested 2D loop (RAJA::kernel<> with two For statements): `f(j, i)` with

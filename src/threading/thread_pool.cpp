@@ -191,10 +191,9 @@ void ThreadPool::parallel_for(long begin, long end,
            [&](int /*tid*/, long lo, long hi) { body(lo, hi); });
 }
 
-void ThreadPool::parallel_for(long begin, long end,
-                              const std::function<void(int, long, long)>& body,
-                              ForOptions opts) {
-  run_loop(begin, end, opts, body);
+void ThreadPool::parallel_for(
+    long begin, long end, const std::function<void(int, long, long)>& body) {
+  run_loop(begin, end, {}, body);
 }
 
 ThreadPool& global_pool() {

@@ -56,13 +56,12 @@ public:
                     const std::function<void(long, long)>& body,
                     ForOptions opts = {});
 
-  /// The same loop with the region tid: `body(tid, lo, hi)`.  Under the
-  /// default static schedule each tid runs at most one chunk, and the chunks
-  /// ascend with the tid, so partials kept per tid and folded in tid order
-  /// do not depend on which OS threads the workers are.
+  /// The same loop with the region tid: `body(tid, lo, hi)`.  Static
+  /// schedule only: each tid runs at most one chunk and the chunks ascend
+  /// with the tid, so partials kept per tid and folded in tid order do not
+  /// depend on which OS threads the workers are.
   void parallel_for(long begin, long end,
-                    const std::function<void(int, long, long)>& body,
-                    ForOptions opts = {});
+                    const std::function<void(int, long, long)>& body);
 
   /// Work-shared reduction: `map(lo, hi)` produces a partial value per chunk,
   /// `combine` folds partials.  Deterministic for static scheduling (partials

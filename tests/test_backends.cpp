@@ -15,6 +15,7 @@
 #include "core/driver.hpp"
 #include "core/registry.hpp"
 #include "threading/thread_id.hpp"
+#include "threading/thread_pool.hpp"
 
 namespace {
 
@@ -268,22 +269,51 @@ INSTANTIATE_TEST_SUITE_P(ThreadedHost, FixedWidthDeterminism,
                            return name;
                          });
 
+bool bit_equal(const tea::RunResult& a, const tea::RunResult& b) {
+  if (a.steps.size() != b.steps.size()) return false;
+  for (std::size_t s = 0; s < a.steps.size(); ++s) {
+    if (a.steps[s].solve.iterations != b.steps[s].solve.iterations ||
+        a.steps[s].solve.final_rr != b.steps[s].solve.final_rr) {
+      return false;
+    }
+  }
+  return a.final_summary.mass == b.final_summary.mass &&
+         a.final_summary.ie == b.final_summary.ie &&
+         a.final_summary.temp == b.final_summary.temp;
+}
+
 TEST(ThreadOptions, KokkosAndRajaHostVariantsRunOnTheRequestedPool) {
   // With RunOptions.threads = 1 every launch is a single chunk, so the run
-  // is bit-equal to the same backend on the sequential execution space; a
-  // run on the (wider) global pool would associate its sums differently.
+  // is bit-equal to the same backend on the sequential execution space.  A
+  // run on the wider global pool associates its sums differently; the test
+  // first checks that it does, or a backend ignoring `threads` would pass.
+  const int global_width = tlp::global_pool().size();
+  if (global_width == 1) {
+    GTEST_SKIP() << "global pool has one thread: a run that ignores "
+                    "RunOptions.threads is indistinguishable";
+  }
   const tl::ProblemConfig cfg = test_problem(48, 2, tl::SolverKind::kCg);
   tea::RunOptions one;
   one.threads = 1;
+  tea::RunOptions wide;
+  wide.threads = global_width;
   const tea::TeaDriver driver(cfg);
 
   tea::KokkosBackend<kk::Serial> kokkos_serial("kokkos-serial");
-  expect_bit_equal(tea::run_simulation("kokkos-omp", cfg, one),
-                   driver.run(kokkos_serial), "kokkos-omp@1");
-
+  const tea::RunResult kokkos_ref = driver.run(kokkos_serial);
   tea::RajaBackend<raja::seq_exec> raja_seq("raja-seq");
-  expect_bit_equal(tea::run_simulation("raja-omp", cfg, one),
-                   driver.run(raja_seq), "raja-omp@1");
+  const tea::RunResult raja_ref = driver.run(raja_seq);
+
+  EXPECT_FALSE(bit_equal(tea::run_simulation("kokkos-omp", cfg, wide),
+                         kokkos_ref))
+      << "kokkos-omp@" << global_width << " matches Serial bit for bit";
+  EXPECT_FALSE(bit_equal(tea::run_simulation("raja-omp", cfg, wide), raja_ref))
+      << "raja-omp@" << global_width << " matches seq bit for bit";
+
+  expect_bit_equal(tea::run_simulation("kokkos-omp", cfg, one), kokkos_ref,
+                   "kokkos-omp@1");
+  expect_bit_equal(tea::run_simulation("raja-omp", cfg, one), raja_ref,
+                   "raja-omp@1");
 }
 
 TEST(Registry, UnknownBackendThrows) {

@@ -237,8 +237,8 @@ TEST(Threads, InstanceRunsOnItsPool) {
                    });
   double sum = 0.0;
   kk::parallel_reduce(
-      "reduce", kk::RangePolicy<kk::Threads>(space, 0, 64),
-      [&](long, double& acc) {
+      "reduce", kk::MDRangePolicy2<kk::Threads>(space, 0, 64, 0, 1),
+      [&](long, long, double& acc) {
         if (std::this_thread::get_id() != caller) ++elsewhere;
         acc += 1.0;
       },
